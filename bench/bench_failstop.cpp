@@ -14,10 +14,10 @@
 #include <cstdio>
 #include <sstream>
 
-#include "bench_json.hpp"
 #include "chaos/campaign.hpp"
 #include "circuit/workloads.hpp"
 #include "mpc/protocol.hpp"
+#include "perf/benchfile.hpp"
 
 using namespace yoso;
 
@@ -112,6 +112,6 @@ int main() {
     }
   }
   json << "]}";
-  bench::merge_bench_json("BENCH_comm.json", "failstop_degradation", json.str());
+  perf::merge_bench_json("BENCH_comm.json", "failstop_degradation", json.str());
   return 0;
 }

@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <memory>
 
-#include "bench_json.hpp"
 #include "chaos/schedule.hpp"
 #include "common/json.hpp"
 #include "crypto/rand.hpp"
@@ -21,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "obs/runtime.hpp"
 #include "obs/trace.hpp"
+#include "perf/benchfile.hpp"
 
 using namespace yoso;
 
@@ -100,6 +100,6 @@ int main(int argc, char** argv) {
   w.field("compiled_out", false);
 #endif
   w.end_object();
-  bench::merge_bench_json("BENCH_comm.json", "obs_overhead", w.take());
+  perf::merge_bench_json("BENCH_comm.json", "obs_overhead", w.take());
   return 0;
 }

@@ -116,8 +116,7 @@ SpeedupDerivation derive_packed_speedup(double C, double f, double ours_mult_per
   d.k = g.k;
   // Calibration: the baseline posts cdn_per_member elements per gate per
   // committee member; ours posts e0 elements per mu-share with c/k shares
-  // per gate (same coefficients bench_online_comm prints as E3's
-  // paper-scale projection).
+  // per gate (`perf record` prints E3's paper-scale projection from this).
   d.cdn_per_member = cdn_mult_per_gate / n;
   d.e0 = ours_mult_per_gate * static_cast<double>(k) / n;
   d.baseline_per_gate = d.cdn_per_member * g.c_prime;

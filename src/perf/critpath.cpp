@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "circuit/workloads.hpp"
 #include "mpc/failure.hpp"
 #include "mpc/protocol.hpp"
 #include "net/net_bulletin.hpp"
@@ -12,31 +11,13 @@
 
 namespace yoso::perf {
 
-namespace {
-
-// Same input derivation as the sweep/profile recorders: Rng seeded with n.
-std::vector<std::vector<mpz_class>> make_inputs(const Circuit& c, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<mpz_class>> inputs(c.num_clients());
-  for (const auto& g : c.gates()) {
-    if (g.kind == GateKind::Input) {
-      inputs[g.client].push_back(mpz_class(static_cast<unsigned long>(rng.u64_below(1 << 20))));
-    }
-  }
-  return inputs;
-}
-
-}  // namespace
-
 CritpathPoint run_critpath_point(const CritpathOptions& opt) {
   CritpathPoint pt;
   pt.n = opt.n;
-  auto params = ProtocolParams::for_gap(opt.n, 0.25, 128);
-  params.k = audit_packing(opt.n);
-  params.validate();
-  pt.t = params.t;
-  pt.k = params.k;
-  Circuit c = wide_mul_circuit(4 * opt.n);
+  const AuditSetup setup = audit_setup(opt.n);
+  const Circuit& c = setup.circuit;
+  pt.t = setup.params.t;
+  pt.k = setup.params.k;
   pt.gates = c.num_mul_gates();
 
 #ifndef OBS_DISABLED
@@ -55,9 +36,9 @@ CritpathPoint run_critpath_point(const CritpathOptions& opt) {
   Ledger ledger;
   net::NetBulletin board(ledger, cfg);
 
-  YosoMpc ours(params, c, AdversaryPlan::honest(opt.n), opt.seed_base + opt.n, &board);
+  YosoMpc ours(setup.params, c, AdversaryPlan::honest(opt.n), opt.seed_base + opt.n, &board);
   try {
-    ours.run(make_inputs(c, opt.n));
+    ours.run(sweep_inputs(c, opt.n));
   } catch (const ProtocolAbort&) {
     // Faulted runs may classify-abort; the DAG up to the abort still prices.
     pt.completed = false;

@@ -1,13 +1,12 @@
 // Critical-path sweep points and the forecast-curve gate.
 //
-// run_critpath_point() replays the audit-regime configuration (the same
-// circuits and packing as perf/sweep.hpp, seeds 9500 + n) over a
-// NetBulletin so the board reconstructs the happens-before DAG
-// (src/obs/dag), then prices it with the *reference* coefficient table:
-// the resulting work/span figures and forecast speedup curve are a pure
-// function of the seeded run — byte-identical across machines and
-// replays, committed to BENCH_comm.json by bench_critpath (E16) and
-// baseline-gated by `perf check`.
+// run_critpath_point() runs the audit-regime setup (perf::audit_setup,
+// seeds 9500 + n) over a NetBulletin so the board reconstructs the
+// happens-before DAG (src/obs/dag), then prices it with the *reference*
+// coefficient table: the resulting work/span figures and forecast speedup
+// curve are a pure function of the seeded run — byte-identical across
+// machines and replays, written to BENCH_comm.json by `perf record` (E16)
+// and baseline-gated by `perf check`.
 //
 // Fault variants (silenced roles, background churn) show how fail-stop
 // faults serialize the run: dropped posts become DAG leaves, the surviving

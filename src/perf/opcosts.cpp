@@ -1,38 +1,16 @@
 #include "perf/opcosts.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <map>
 
-#include "baseline/cdn.hpp"
-#include "circuit/workloads.hpp"
-#include "mpc/protocol.hpp"
-#include "obs/profile.hpp"
-#include "perf/sweep.hpp"
-
 namespace yoso::perf {
-
-namespace {
-
-// Same input derivation as the sweep recorder: Rng seeded with n.
-std::vector<std::vector<mpz_class>> make_inputs(const Circuit& c, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<mpz_class>> inputs(c.num_clients());
-  for (const auto& g : c.gates()) {
-    if (g.kind == GateKind::Input) {
-      inputs[g.client].push_back(mpz_class(static_cast<unsigned long>(rng.u64_below(1 << 20))));
-    }
-  }
-  return inputs;
-}
 
 #ifndef OBS_DISABLED
 
-// The op_costs point payload: totals plus a per-phase breakdown with the
-// measured phase wall-clock.  Baselines flatten "ops" (counts exact,
-// self_us within the `_us` factor band) and skip "by_phase" wholesale —
-// the per-phase split is the cost model's input, not a gate.
-std::string costs_point_json(const obs::InstrumentCell& cell) {
+// Baselines flatten "ops" (counts exact, self_us within the `_us` factor
+// band) and skip "by_phase" wholesale — the per-phase split is the cost
+// model's input, not a gate.
+std::string op_costs_point_json(const obs::InstrumentCell& cell) {
   json::Writer w;
   w.begin_object();
   w.key("ops").begin_object();
@@ -77,45 +55,9 @@ std::string costs_point_json(const obs::InstrumentCell& cell) {
 
 #endif  // OBS_DISABLED
 
-}  // namespace
-
-ProfilePoint run_profile_point(unsigned n) {
-  ProfilePoint pt;
-  pt.n = n;
-  auto params = ProtocolParams::for_gap(n, 0.25, 128);
-  params.k = audit_packing(n);
-  params.validate();
-  pt.t = params.t;
-  pt.k = params.k;
-  Circuit c = wide_mul_circuit(4 * n);
-  pt.gates = c.num_mul_gates();
-
-#ifndef OBS_DISABLED
-  // Fresh cell per point: the sweep caller decides what to do with the
-  // previous point's numbers, the point itself must be self-contained.
-  obs::profiler().reset();
-#endif
-
-  YosoMpc ours(params, c, AdversaryPlan::honest(n), 9300 + n);
-  ours.run(make_inputs(c, n));
-
-  CdnBaseline cdn(params, c, AdversaryPlan::honest(n), 9400 + n);
-  cdn.run(make_inputs(c, n));
-
-#ifndef OBS_DISABLED
-  const obs::InstrumentCell cell = obs::profiler().snapshot();
-  pt.counts_json = cell.snapshot_json(false);
-  pt.costs_json = costs_point_json(cell);
-#else
-  pt.counts_json = "{}";
-  pt.costs_json = "{}";
-#endif
-  return pt;
-}
-
 namespace {
 
-std::string sweep_json(const std::vector<ProfilePoint>& pts, bool costs) {
+std::string sweep_json(const std::vector<AuditPoint>& pts, bool costs) {
   json::Writer w;
   w.begin_object();
   for (const auto& pt : pts) {
@@ -134,11 +76,11 @@ std::string sweep_json(const std::vector<ProfilePoint>& pts, bool costs) {
 
 }  // namespace
 
-std::string profile_sweep_json(const std::vector<ProfilePoint>& pts) {
+std::string profile_sweep_json(const std::vector<AuditPoint>& pts) {
   return sweep_json(pts, false);
 }
 
-std::string op_costs_sweep_json(const std::vector<ProfilePoint>& pts) {
+std::string op_costs_sweep_json(const std::vector<AuditPoint>& pts) {
   return sweep_json(pts, true);
 }
 

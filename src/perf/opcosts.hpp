@@ -1,18 +1,16 @@
-// Per-primitive compute costs: the profile sweep recorder and the
+// Per-primitive compute costs: the profile/op_costs sweep keys and the
 // per-phase linear cost model.
 //
-// run_profile_point() replays the audit-regime configuration (same
-// circuits, same 9300/9400 + n seeds as perf/sweep.hpp) under the compute
-// profiler, so one point exercises all four phase contexts — ours'
-// setup/offline/online plus the CDN baseline — and yields per-primitive
-// counts and self-times attributed per phase (src/obs/profile.hpp).
-//
-// Two bench keys come out of the same points:
-//   * "profile"  — counts only.  A pure function of the seeded run, so
-//     bench_profile commits it to BENCH_comm.json bit-for-bit (E15).
+// Each audit point (perf/sweep.hpp) runs ours and the CDN baseline under a
+// freshly reset compute profiler, so one point exercises all four phase
+// contexts — ours' setup/offline/online plus the CDN baseline — and yields
+// per-primitive counts and self-times attributed per phase
+// (src/obs/profile.hpp).  `perf record` writes two keys from those points:
+//   * "profile"  — counts only.  A pure function of the seeded run, so the
+//     committed BENCH_comm.json value is reproduced bit-for-bit (E15).
 //   * "op_costs" — counts plus measured self-µs and phase wall-µs.  The
-//     machine-dependent side, recorded by `perf record` and checked in
-//     bench/baselines/ci.json with the wide `_us` factor tolerance.
+//     machine-dependent side, checked in bench/baselines/ci.json with the
+//     wide `_us` factor tolerance.
 //
 // fit_cost_model() closes the loop: from a recorded op_costs section it
 // estimates one µs-per-call coefficient per primitive (global mean
@@ -28,24 +26,21 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "obs/profile.hpp"
 #include "obs/scaling.hpp"
+#include "perf/sweep.hpp"
 
 namespace yoso::perf {
 
-// One profiled audit-regime point; the JSON payloads are prebuilt so the
-// struct is usable from OBS_DISABLED builds (where they are empty objects).
-struct ProfilePoint {
-  unsigned n = 0, t = 0, k = 0;
-  std::uint64_t gates = 0;
-  std::string counts_json;  // {"ops":{...counts only...}} — deterministic
-  std::string costs_json;   // counts + self_us + by_phase wall_us
-};
-
-ProfilePoint run_profile_point(unsigned n);
+#ifndef OBS_DISABLED
+// One point's op_costs payload: per-op totals plus a per-phase breakdown
+// with the measured phase wall-clock.
+std::string op_costs_point_json(const obs::InstrumentCell& cell);
+#endif
 
 // BENCH_comm.json values ({"n4": ..., "n8": ...}) for a recorded sweep.
-std::string profile_sweep_json(const std::vector<ProfilePoint>& pts);
-std::string op_costs_sweep_json(const std::vector<ProfilePoint>& pts);
+std::string profile_sweep_json(const std::vector<AuditPoint>& pts);
+std::string op_costs_sweep_json(const std::vector<AuditPoint>& pts);
 
 // One estimated primitive coefficient.
 struct CostTerm {

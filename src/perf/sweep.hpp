@@ -1,10 +1,9 @@
-// Reproducible n-sweeps for the performance observatory.
-//
-// Each point replays exactly the configuration the standalone benches
-// (bench_online_comm / bench_offline_comm) run — same circuits, same
-// protocol seeds (9000/9100/9200 + n), same Rng(n) inputs — so a sweep
-// recorded by tools/perf is bit-identical to the numbers already committed
-// in BENCH_comm.json.
+// Reproducible n-sweeps for the performance observatory.  `perf record`
+// (tools/perf) is the only writer of the sweep keys in BENCH_comm.json:
+// online_comm and offline_comm (E3/E4, protocol seeds 9000/9100/9200 + n),
+// scaling_audit, profile and op_costs (the audit points below) and critpath
+// (perf/critpath.hpp).  Every run draws its inputs from sweep_inputs(), so
+// a recorded sweep is bit-identical to the committed numbers.
 //
 // The *audit* sweep is the controlled regime the scaling fitter consumes.
 // ProtocolParams::for_gap lets the packing factor k drift sublinearly at
@@ -12,12 +11,17 @@
 // online per-gate exponent with a spurious n/k trend; the audit regime
 // pins k = max(1, (n+2)/4) so n/k stays (near) constant and the fitted
 // slope measures the per-gate cost law itself.  Seeds 9300/9400 + n keep
-// the audit runs distinct from the headline benches.
+// the audit runs distinct from the E3/E4 runs.
 #pragma once
+
+#include <gmpxx.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "circuit/circuit.hpp"
+#include "mpc/params.hpp"
 
 namespace yoso::perf {
 
@@ -42,8 +46,10 @@ struct OfflinePoint {
   std::string report;
 };
 
-// One point of the controlled fixed-ratio audit sweep (4n-wide circuit,
-// k pinned by audit_packing).
+// One point of the controlled fixed-ratio audit sweep: ours and CDN run
+// once each under a freshly reset compute profiler, so the same point feeds
+// scaling_audit (the ledgers), profile (op counts) and op_costs (counts plus
+// measured self-times).
 struct AuditPoint {
   unsigned n = 0, t = 0, k = 0;
   std::uint64_t gates = 0;
@@ -52,11 +58,30 @@ struct AuditPoint {
   double offline_bytes = 0, offline_elems = 0;      // ours offline phase total
   std::string ours_report;
   std::string cdn_report;
+  std::string counts_json;  // {"ops":{...counts only...}} — deterministic
+  std::string costs_json;   // counts + self_us + by_phase wall_us (perf/opcosts.hpp)
 };
 
 // The pinned packing factor of the audit regime: max(1, (n+2)/4), which
 // ProtocolParams::validate() accepts for every n >= 4 at eps = 0.25.
 unsigned audit_packing(unsigned n);
+
+// The audit regime at committee size n: for_gap(n, 0.25, 128) with k pinned
+// by audit_packing, on wide_mul_circuit(4n).  The audit and critpath points
+// both run it.
+struct AuditSetup {
+  ProtocolParams params;
+  Circuit circuit;
+};
+AuditSetup audit_setup(unsigned n);
+
+// The inputs of every sweep run: Rng(seed) draws each client input below 2^20.
+std::vector<std::vector<mpz_class>> sweep_inputs(const Circuit& c, std::uint64_t seed);
+
+// Parses a `--sweep` list such as "4,8,12".  Throws std::invalid_argument
+// naming the first token that is not a positive decimal integer that fits
+// in an unsigned.
+std::vector<unsigned> parse_sweep(const std::string& arg);
 
 OnlinePoint run_online_point(unsigned n);
 OfflinePoint run_offline_point(unsigned n);

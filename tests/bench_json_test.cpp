@@ -2,19 +2,23 @@
 // the one-key-per-line BENCH_comm.json merge now goes through the
 // json::parse funnel (round trips exactly, rejects malformed files instead
 // of silently clobbering them), baselines flatten to suffix-toleranced
-// metric maps, and the JSONL history round-trips snapshots.
+// metric maps, the JSONL history round-trips snapshots, and the `--sweep`
+// list parser rejects malformed tokens before anything runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/json.hpp"
 #include "perf/baseline.hpp"
 #include "perf/benchfile.hpp"
 #include "perf/history.hpp"
+#include "perf/sweep.hpp"
 
 namespace yoso {
 namespace {
@@ -219,6 +223,28 @@ TEST(History, MalformedLineNamesItsLineNumber) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
   }
+}
+
+// --- parse_sweep ------------------------------------------------------------
+
+TEST(ParseSweep, ReadsCommaSeparatedPositiveIntegers) {
+  EXPECT_EQ(perf::parse_sweep("4,8,12"), (std::vector<unsigned>{4, 8, 12}));
+  EXPECT_EQ(perf::parse_sweep("16"), (std::vector<unsigned>{16}));
+  EXPECT_EQ(perf::parse_sweep("007"), (std::vector<unsigned>{7}));
+}
+
+TEST(ParseSweep, RejectsAndNamesEachMalformedToken) {
+  for (const std::string bad : {"x", "0", "-1", "4x", "", "+4", "4294967296"}) {
+    const std::string arg = "4," + bad + ",8";
+    try {
+      perf::parse_sweep(arg);
+      ADD_FAILURE() << "accepted --sweep " << arg;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + bad + "'"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_THROW(perf::parse_sweep(""), std::invalid_argument);
+  EXPECT_THROW(perf::parse_sweep("4,"), std::invalid_argument);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "chaos/campaign.hpp"
 #include "circuit/workloads.hpp"
@@ -19,6 +20,7 @@
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "perf/critpath.hpp"
+#include "perf/opcosts.hpp"
 #include "perf/sweep.hpp"
 #include "service/service.hpp"
 
@@ -76,9 +78,14 @@ TEST(DeterminismTest, ChaosCampaignReplays) {
   expect_replay_identical([] { return chaos::CampaignRunner::run_campaign(42, 3).to_json(); });
 }
 
+// One audit point feeds scaling_audit (ledgers) and profile (op counts);
+// both must replay byte for byte, the counts under a profiler reset by the
+// point itself.
 TEST(DeterminismTest, PerfSweepPointReplays) {
   expect_replay_identical([] {
-    return perf::online_comm_json({perf::run_online_point(4)});
+    const std::vector<perf::AuditPoint> audit = {perf::run_audit_point(4)};
+    return perf::online_comm_json({perf::run_online_point(4)}) + "\n" +
+           perf::scaling_audit_json(audit) + "\n" + perf::profile_sweep_json(audit);
   });
 }
 

@@ -2,13 +2,15 @@
 //
 //   perf record [--sweep 4,6,8,12,16] [--json FILE] [--history FILE]
 //               [--label STR]
-//       Run the online/offline/audit/profile sweeps and merge the results
-//       into the bench file (default BENCH_comm.json, keys online_comm /
-//       offline_comm / scaling_audit / profile / op_costs); append a
-//       timestamped snapshot to the history file (default
-//       BENCH_history.jsonl, "" to skip).  Deterministic except the
-//       op_costs "_us" leaves: seeded protocol runs, so two records of the
-//       same sweep produce identical counts; self-times are measured.
+//       Run the online/offline/audit/critpath sweeps, print the E3 and E4
+//       tables, and merge the results into the bench file (default
+//       BENCH_comm.json, keys online_comm / offline_comm / scaling_audit /
+//       profile / op_costs / critpath); append a timestamped snapshot to
+//       the history file (default BENCH_history.jsonl, "" to skip).
+//       Deterministic except the op_costs "_us" leaves: seeded protocol
+//       runs, so two records of the same sweep produce identical counts;
+//       self-times are measured.  A malformed --sweep list exits 2 before
+//       any run.
 //   perf check [--json FILE] --baseline FILE
 //       Compare the recorded metrics against a committed baseline; exit
 //       nonzero listing every violated tolerance (bytes +-10%, counts and
@@ -27,11 +29,15 @@
 #include <ctime>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "circuit/batching.hpp"
+#include "circuit/workloads.hpp"
 #include "common/json.hpp"
 #include "obs/report.hpp"
+#include "obs/scaling.hpp"
 #include "perf/audit.hpp"
 #include "perf/baseline.hpp"
 #include "perf/benchfile.hpp"
@@ -64,19 +70,6 @@ std::string read_file(const std::string& path) {
   return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
-std::vector<unsigned> parse_sweep(const std::string& arg) {
-  std::vector<unsigned> ns;
-  std::size_t pos = 0;
-  while (pos < arg.size()) {
-    std::size_t comma = arg.find(',', pos);
-    if (comma == std::string::npos) comma = arg.size();
-    const std::string tok = arg.substr(pos, comma - pos);
-    if (!tok.empty()) ns.push_back(static_cast<unsigned>(std::strtoul(tok.c_str(), nullptr, 10)));
-    pos = comma + 1;
-  }
-  return ns;
-}
-
 std::string utc_now() {
   const std::time_t now = std::time(nullptr);
   std::tm tm_utc{};
@@ -91,12 +84,92 @@ std::map<std::string, double> current_metrics(const std::string& json_path) {
   return perf::flatten_metrics(doc, kBenchKeys);
 }
 
+// E3: online elements per multiplication gate, ours against CDN's, with
+// the analytic "naive" variant the paper warns about (packed shares left
+// under tpk, Section 3.4: n partials per packed share, O(n^2 / k) per gate).
+void print_online_table(const std::vector<perf::OnlinePoint>& pts) {
+  std::printf("\n=== E3: online broadcast elements per multiplication gate ===\n");
+  std::printf("wide circuit of width 4n, |N| = 128\n\n");
+  std::printf("%4s %3s %3s | %14s | %14s | %14s | %10s\n", "n", "t", "k", "ours: mult/gate",
+              "ours: total/gate", "CDN: total/gate", "naive/gate");
+  for (const perf::OnlinePoint& pt : pts) {
+    const double gates = static_cast<double>(pt.gates);
+    // Every packed share (3 per role per batch) threshold-decrypted under
+    // tpk online: 3 * n * n partials per batch of k gates.
+    const double naive =
+        3.0 * pt.n * pt.n * batch_count(wide_mul_circuit(4 * pt.n), pt.k) / gates;
+    std::printf("%4u %3u %3u | %14.1f | %14.1f | %14.1f | %10.1f\n", pt.n, pt.t, pt.k,
+                pt.ours_mult_elems / gates, pt.ours_total_elems / gates,
+                pt.cdn_total_elems / gates, naive);
+  }
+
+  const perf::OnlinePoint& first = pts.front();
+  const perf::OnlinePoint& last = pts.back();
+  const double ours_first = first.ours_mult_elems / static_cast<double>(first.gates);
+  const double ours_last = last.ours_mult_elems / static_cast<double>(last.gates);
+  const double cdn_first = first.cdn_mult_elems / static_cast<double>(first.gates);
+  const double cdn_last = last.cdn_mult_elems / static_cast<double>(last.gates);
+  std::printf("\nShape check (n: %u -> %u, a %.1fx increase):\n", first.n, last.n,
+              static_cast<double>(last.n) / first.n);
+  std::printf("  ours  (mult/gate) grew %.2fx  — paper predicts ~flat (O(1))\n",
+              ours_last / ours_first);
+  std::printf("  CDN   (mult/gate)  grew %.2fx — paper predicts ~linear (O(n))\n",
+              cdn_last / cdn_first);
+
+  std::printf("\nPaper-scale projection (per-gate online, using measured per-element"
+              " coefficients at n = %u):\n",
+              last.n);
+  for (double C : {1000.0, 20000.0}) {
+    for (double f : {0.05, 0.20}) {
+      const obs::SpeedupDerivation d =
+          obs::derive_packed_speedup(C, f, ours_last, cdn_last, last.n, last.k);
+      if (!d.feasible) continue;
+      std::printf("  C=%6.0f f=%.2f: baseline(c'=%5.0f) ~%8.0f elems/gate, ours(c=%5.0f) "
+                  "~%5.1f -> projected speedup ~%6.0fx (paper k = %u)\n",
+                  C, f, d.c_prime, d.baseline_per_gate, d.c, d.ours_per_gate, d.speedup, d.k);
+    }
+  }
+}
+
+// E4: offline elements per multiplication gate (the paper: O(n)), with the
+// per-category breakdown at the largest n.
+void print_offline_table(const std::vector<perf::OfflinePoint>& pts) {
+  std::printf("\n=== E4: offline broadcast elements per multiplication gate ===\n");
+  std::printf("wide circuit of width n, |N| = 128\n\n");
+  std::printf("%4s %3s %3s | %16s | %16s\n", "n", "t", "k", "offline elems/gate",
+              "offline/(n*gate)");
+  for (const perf::OfflinePoint& pt : pts) {
+    const double per_gate = pt.offline_elems / static_cast<double>(pt.gates);
+    std::printf("%4u %3u %3u | %16.1f | %16.2f\n", pt.n, pt.t, pt.k, per_gate, per_gate / pt.n);
+  }
+
+  const perf::OfflinePoint& first = pts.front();
+  const perf::OfflinePoint& last = pts.back();
+  const double first_ratio = first.offline_elems / static_cast<double>(first.gates);
+  const double last_ratio = last.offline_elems / static_cast<double>(last.gates);
+  std::printf("\nShape check (n: %u -> %u): offline elems/gate grew %.2fx over a %.1fx "
+              "increase in n — paper predicts ~linear (O(n)).\n",
+              first.n, last.n, last_ratio / first_ratio, static_cast<double>(last.n) / first.n);
+
+  std::printf("\nPer-category offline breakdown at n = %u:\n", last.n);
+  const json::Value report = json::parse(last.report);
+  if (const json::Value* offline = report.find("offline")) {
+    if (const json::Value* cats = offline->find("categories")) {
+      for (const auto& [cat, e] : cats->members) {
+        std::printf("  %-22s %8llu msgs %10llu elems %12llu bytes\n", cat.c_str(),
+                    static_cast<unsigned long long>(e.u64_or("messages", 0)),
+                    static_cast<unsigned long long>(e.u64_or("elements", 0)),
+                    static_cast<unsigned long long>(e.u64_or("bytes", 0)));
+      }
+    }
+  }
+}
+
 int cmd_record(const std::vector<unsigned>& sweep, const std::string& json_path,
                const std::string& history_path, const std::string& label) {
   std::vector<perf::OnlinePoint> online;
   std::vector<perf::OfflinePoint> offline;
   std::vector<perf::AuditPoint> audit;
-  std::vector<perf::ProfilePoint> profile;
   std::vector<perf::CritpathPoint> critpath;
   for (unsigned n : sweep) {
     std::printf("recording n=%u: online...", n);
@@ -108,9 +181,6 @@ int cmd_record(const std::vector<unsigned>& sweep, const std::string& json_path,
     std::printf(" audit (k=%u)...", perf::audit_packing(n));
     std::fflush(stdout);
     audit.push_back(perf::run_audit_point(n));
-    std::printf(" profile...");
-    std::fflush(stdout);
-    profile.push_back(perf::run_profile_point(n));
     std::printf(" critpath...");
     std::fflush(stdout);
     perf::CritpathOptions copt;
@@ -118,11 +188,14 @@ int cmd_record(const std::vector<unsigned>& sweep, const std::string& json_path,
     critpath.push_back(perf::run_critpath_point(copt));
     std::printf(" done\n");
   }
+  print_online_table(online);
+  print_offline_table(offline);
+
   perf::merge_bench_json(json_path, "online_comm", perf::online_comm_json(online));
   perf::merge_bench_json(json_path, "offline_comm", perf::offline_comm_json(offline));
   perf::merge_bench_json(json_path, "scaling_audit", perf::scaling_audit_json(audit));
-  perf::merge_bench_json(json_path, "profile", perf::profile_sweep_json(profile));
-  perf::merge_bench_json(json_path, "op_costs", perf::op_costs_sweep_json(profile));
+  perf::merge_bench_json(json_path, "profile", perf::profile_sweep_json(audit));
+  perf::merge_bench_json(json_path, "op_costs", perf::op_costs_sweep_json(audit));
   perf::merge_bench_json(json_path, "critpath", perf::critpath_sweep_json(critpath));
   // Self-describing header: which build / obs generation recorded the file.
   perf::merge_bench_json(json_path, "meta", obs::run_metadata_json());
@@ -310,14 +383,18 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
       label = argv[++i];
     } else if (std::strcmp(argv[i], "--sweep") == 0 && i + 1 < argc) {
-      sweep = parse_sweep(argv[++i]);
+      try {
+        sweep = perf::parse_sweep(argv[++i]);
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "perf: %s\n", e.what());
+        return usage();
+      }
     } else {
       return usage();
     }
   }
   try {
     if (cmd == "record") {
-      if (sweep.empty()) return usage();
       return cmd_record(sweep, json_path, history_path, label);
     }
     if (cmd == "check") {
