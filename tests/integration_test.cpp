@@ -29,6 +29,11 @@ struct WorkloadCase {
   Circuit (*make)();
 };
 
+// Without a printer, gtest lists the case as a byte dump of its two
+// pointers, which differs with every build and every run (ASLR), so the
+// discovered ctest names were never stable. Print the case by its name.
+void PrintTo(const WorkloadCase& c, std::ostream* os) { *os << c.name; }
+
 Circuit make_matmul() { return matmul_circuit(2); }
 Circuit make_poly() { return poly_eval_circuit(2); }
 Circuit make_mimc() { return mimc_circuit(2); }
