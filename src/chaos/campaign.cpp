@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <set>
-#include <sstream>
 
 #include "common/json.hpp"
 #include "mpc/protocol.hpp"
@@ -49,16 +48,8 @@ void check_one_shot(const Bulletin& board, std::vector<std::string>& violations)
   }
 }
 
-void check_board(const net::NetBulletin& board, RunReport& r) {
-  for (Phase phase : {Phase::Setup, Phase::Offline, Phase::Online}) {
-    const net::PhasePosts& pp = board.phase_posts(phase);
-    if (!pp.conserved()) {
-      std::ostringstream os;
-      os << "conservation: phase " << phase_name(phase) << " originated=" << pp.originated
-         << " delivered=" << pp.delivered << " dropped=" << pp.dropped();
-      r.violations.push_back(os.str());
-    }
-  }
+void check_board(net::NetBulletin& board, RunReport& r) {
+  for (std::string& v : board.conservation_violations()) r.violations.push_back(std::move(v));
   const net::PhasePosts total = board.total_posts();
   r.posts_originated += total.originated;
   r.posts_delivered += total.delivered;

@@ -40,17 +40,4 @@ double EventLoop::run() {
   return now_;
 }
 
-double EventLoop::run_until(double until) {
-  while (!heap_.empty() && heap_.front().at <= until) {
-    Event ev = pop_next();
-    now_ = ev.at;
-    ++processed_;
-    ev.fn();
-  }
-  now_ = std::max(now_, until);
-  return now_;
-}
-
-void EventLoop::advance_to(double at) { now_ = std::max(now_, at); }
-
 }  // namespace yoso::net

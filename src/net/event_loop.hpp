@@ -23,15 +23,10 @@ public:
 
   // Drains the queue; returns the final clock value.
   double run();
-  // Fires events with time <= until, then advances the clock to `until`.
-  double run_until(double until);
 
   double now() const { return now_; }
   std::size_t pending() const { return heap_.size(); }
   std::uint64_t processed() const { return processed_; }
-
-  // Moves the clock forward without firing anything (round barriers).
-  void advance_to(double at);
 
 private:
   struct Event {

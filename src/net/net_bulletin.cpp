@@ -17,16 +17,54 @@ namespace {
 
 std::size_t phase_idx(Phase p) { return static_cast<std::size_t>(p); }
 
-const char* phase_key(std::size_t idx) {
-  switch (idx) {
-    case 0: return "setup";
-    case 1: return "offline";
-    case 2: return "online";
-  }
-  return "?";
-}
+// The fate table: one row per PhasePosts field, in Tally (= report) order.
+// A tally bumps its field and, for committee posts, its counter; a loss
+// tally also leaves a span named like its counter.
+struct FateRow {
+  std::size_t PhasePosts::*field;
+  const char* key;      // report_json "posts" key
+  const char* counter;  // obs counter (nullptr: none)
+  PostStatus status;    // returned to the publisher of a post with this fate
+  bool loss;            // counts into PhasePosts::dropped()
+};
+
+constexpr FateRow kFates[] = {
+    {&PhasePosts::originated, "originated", nullptr, PostStatus::Accepted, false},
+    {&PhasePosts::delivered, "delivered", "post.accepted", PostStatus::Accepted, false},
+    {&PhasePosts::dropped_link, "dropped_link", "post.dropped_link", PostStatus::DroppedLink,
+     true},
+    {&PhasePosts::corrupt, "corrupt", "post.corrupt", PostStatus::CorruptPayload, true},
+    {&PhasePosts::truncated, "truncated", "post.truncated", PostStatus::Truncated, true},
+    {&PhasePosts::late, "late", "post.late", PostStatus::Late, true},
+    // The injected copy of a duplicated post; the original is delivered.
+    {&PhasePosts::duplicate, "duplicate", "post.duplicate", PostStatus::Accepted, true},
+    {&PhasePosts::late_graced, "late_graced", "post.late_graced", PostStatus::Accepted, false},
+};
 
 }  // namespace
+
+// A post's fate, decided once from the fault plans before any bookkeeping.
+struct NetBulletin::PostFate {
+  Tally tally = Tally::Delivered;  // Delivered or a loss class
+  bool graced = false;             // late but within the grace window
+  std::size_t wire_bytes = 0;      // what hits the wire (a truncated prefix)
+  const std::vector<std::uint8_t>* payload = nullptr;  // decode-checked on the wire
+  double release_delay = 0;
+  bool duplicate = false;          // a replayed copy follows on the wire
+  bool duplicate_dropped = false;  // ...and is lost on the sender's uplink
+};
+
+// Where a post came from: everything the fan-out needs besides its fate.
+struct NetBulletin::PostOrigin {
+  Phase phase;
+  bool external;              // client/dealer: outside the fault plans and counters
+  std::string round_key;      // consecutive posts under one key form a round
+  std::string sender;         // the uplink the post leaves on
+  const std::string& author;  // flow-matrix source
+  const std::string& label;
+  std::size_t bytes;          // the post's size (its payload's, when given)
+  std::size_t elements;
+};
 
 NetBulletin::NetBulletin(Ledger& ledger, NetConfig cfg)
     : Bulletin(ledger), cfg_(std::move(cfg)),
@@ -122,105 +160,10 @@ PostStatus NetBulletin::publish(Committee& committee, unsigned index0, Phase pha
     flow_actor_ = committee.name;
   }
   if (payload != nullptr) bytes = payload->size();  // price the real serialized message
-  const std::string sender = committee.name + "#" + std::to_string(index0);
-  const std::string key = "c:" + committee.name;
-  PhasePosts& pp = posts(phase);
-  ++pp.originated;
-  OBS_HIST("post.bytes", bytes);
-
-  // Link-level fate first: a post lost on the sender's uplink never reaches
-  // the board, whatever its payload.
-  if (transport_.roll_drop(sender)) {
-    ++pp.dropped_link;
-    OBS_COUNT("post.dropped_link");
-    obs::Span("post.dropped_link", "net").attr("sender", sender).attr("phase", phase_name(phase));
-    enqueue(key, phase, sender, bytes, payload, /*link_dropped=*/true, 0);
-    dag_.end_post(label, bytes, /*delivered=*/false);
-    return PostStatus::DroppedLink;
-  }
-
-  // Wire-level fate: at most one fault per post, deterministic from
-  // (seed, sender, sequence).
-  std::uint64_t aux = 0;
-  const WireFault fault = cfg_.wire_faults.roll(sender, ++post_seq_, &aux);
-  switch (fault) {
-    case WireFault::BitFlip: {
-      if (payload != nullptr && !payload->empty()) {
-        std::vector<std::uint8_t> flipped = *payload;
-        const std::uint64_t bit = aux % (static_cast<std::uint64_t>(flipped.size()) * 8);
-        flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-        probe_mutated(std::move(flipped));
-      }
-      ++pp.corrupt;
-      OBS_COUNT("post.corrupt");
-      obs::Span("post.corrupt", "net").attr("sender", sender).attr("phase", phase_name(phase));
-      enqueue(key, phase, sender, bytes, payload, /*link_dropped=*/false, 0);
-      dag_.end_post(label, bytes, /*delivered=*/false);
-      return PostStatus::CorruptPayload;
-    }
-    case WireFault::Truncate: {
-      std::size_t cut = bytes == 0 ? 0 : static_cast<std::size_t>(aux % bytes);
-      if (payload != nullptr && !payload->empty()) {
-        std::vector<std::uint8_t> shorter = *payload;
-        shorter.resize(std::min<std::size_t>(cut, shorter.size()));
-        probe_mutated(std::move(shorter));
-      }
-      ++pp.truncated;
-      OBS_COUNT("post.truncated");
-      obs::Span("post.truncated", "net").attr("sender", sender).attr("phase", phase_name(phase));
-      // Only the truncated prefix ever hit the wire.
-      enqueue(key, phase, sender, cut, nullptr, /*link_dropped=*/false, 0);
-      dag_.end_post(label, bytes, /*delivered=*/false);
-      return PostStatus::Truncated;
-    }
-    case WireFault::Duplicate: {
-      // The original counts; the replayed copy is priced on the wire but the
-      // board's one-shot discipline ignores it.
-      ++pp.delivered;
-      flow_.record(committee.name, label, static_cast<std::uint8_t>(phase_idx(phase)), bytes,
-                   elements);
-      enqueue(key, phase, sender, bytes, payload, /*link_dropped=*/false, 0);
-      ++pp.originated;
-      ++pp.duplicate;
-      OBS_COUNT("post.accepted");
-      OBS_COUNT("post.duplicate");
-      obs::Span("post.duplicate", "net").attr("sender", sender).attr("phase", phase_name(phase));
-      const bool dup_dropped = transport_.roll_drop(sender);
-      enqueue(key, phase, sender, bytes, nullptr, dup_dropped, 0);
-      // One DAG post for the original only: the injected copy never becomes
-      // a board post, so it must never grow consume edges.
-      dag_.end_post(label, bytes, /*delivered=*/true);
-      return PostStatus::Accepted;
-    }
-    case WireFault::LatePost: {
-      const double delay = cfg_.wire_faults.late_delay_s;
-      if (delay <= cfg_.grace_window_s) {
-        ++pp.delivered;
-        ++pp.late_graced;
-        OBS_COUNT("post.accepted");
-        OBS_COUNT("post.late_graced");
-        flow_.record(committee.name, label, static_cast<std::uint8_t>(phase_idx(phase)), bytes,
-                     elements);
-        enqueue(key, phase, sender, bytes, payload, /*link_dropped=*/false, delay);
-        dag_.end_post(label, bytes, /*delivered=*/true);
-        return PostStatus::Accepted;
-      }
-      ++pp.late;
-      OBS_COUNT("post.late");
-      obs::Span("post.late", "net").attr("sender", sender).attr("phase", phase_name(phase));
-      enqueue(key, phase, sender, bytes, payload, /*link_dropped=*/false, delay);
-      dag_.end_post(label, bytes, /*delivered=*/false);
-      return PostStatus::Late;
-    }
-    case WireFault::None: break;
-  }
-  ++pp.delivered;
-  OBS_COUNT("post.accepted");
-  flow_.record(committee.name, label, static_cast<std::uint8_t>(phase_idx(phase)), bytes,
-               elements);
-  enqueue(key, phase, sender, bytes, payload, /*link_dropped=*/false, 0);
-  dag_.end_post(label, bytes, /*delivered=*/true);
-  return PostStatus::Accepted;
+  std::string sender = committee.name + "#" + std::to_string(index0);
+  const PostFate fate = decide(sender, bytes, payload);
+  return land(fate, PostOrigin{phase, false, "c:" + committee.name, std::move(sender),
+                               committee.name, label, bytes, elements});
 }
 
 void NetBulletin::publish_external(const std::string& who, Phase phase, const std::string& label,
@@ -231,12 +174,100 @@ void NetBulletin::publish_external(const std::string& who, Phase phase, const st
   if (payload != nullptr) bytes = payload->size();
   // External senders (clients, the dealer) are outside the committee fault
   // plans: their posts always count.
-  PhasePosts& pp = posts(phase);
-  ++pp.originated;
-  ++pp.delivered;
-  flow_.record(who, label, static_cast<std::uint8_t>(phase_idx(phase)), bytes, elements);
-  enqueue("x:" + label, phase, who, bytes, payload, /*link_dropped=*/false, 0);
-  dag_.end_post(label, bytes, /*delivered=*/true);
+  land(PostFate{.wire_bytes = bytes, .payload = payload},
+       PostOrigin{phase, true, "x:" + label, who, who, label, bytes, elements});
+}
+
+NetBulletin::PostFate NetBulletin::decide(const std::string& sender, std::size_t bytes,
+                                          const std::vector<std::uint8_t>* payload) {
+  PostFate fate{.wire_bytes = bytes, .payload = payload};
+  // Link-level fate first: a post lost on the sender's uplink never reaches
+  // the board, whatever its payload.
+  if (transport_.roll_drop(sender)) {
+    fate.tally = Tally::DroppedLink;
+    return fate;
+  }
+  // Wire-level fate: at most one fault per post, deterministic from
+  // (seed, sender, sequence).
+  std::uint64_t aux = 0;
+  const bool mutable_payload = payload != nullptr && !payload->empty();
+  switch (cfg_.wire_faults.roll(sender, ++post_seq_, &aux)) {
+    case WireFault::BitFlip:
+      if (mutable_payload) {
+        std::vector<std::uint8_t> flipped = *payload;
+        const std::uint64_t bit = aux % (static_cast<std::uint64_t>(flipped.size()) * 8);
+        flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        probe_mutated(std::move(flipped));
+      }
+      fate.tally = Tally::Corrupt;
+      break;
+    case WireFault::Truncate:
+      fate.wire_bytes = bytes == 0 ? 0 : static_cast<std::size_t>(aux % bytes);
+      if (mutable_payload) {
+        std::vector<std::uint8_t> shorter = *payload;
+        shorter.resize(std::min<std::size_t>(fate.wire_bytes, shorter.size()));
+        probe_mutated(std::move(shorter));
+      }
+      fate.payload = nullptr;  // only the truncated prefix ever hit the wire
+      fate.tally = Tally::Truncated;
+      break;
+    case WireFault::Duplicate:
+      fate.duplicate = true;
+      fate.duplicate_dropped = transport_.roll_drop(sender);
+      break;
+    case WireFault::LatePost:
+      fate.release_delay = cfg_.wire_faults.late_delay_s;
+      fate.graced = fate.release_delay <= cfg_.grace_window_s;
+      if (!fate.graced) fate.tally = Tally::Late;
+      break;
+    case WireFault::None: break;
+  }
+  return fate;
+}
+
+// The one fan-out of a decided fate to every sink: tallies and counters,
+// loss spans, the flow matrix, the wire, and the DAG.
+PostStatus NetBulletin::land(const PostFate& fate, const PostOrigin& origin) {
+  const std::uint8_t phase = static_cast<std::uint8_t>(phase_idx(origin.phase));
+  const bool delivered = fate.tally == Tally::Delivered;
+  if (!origin.external) OBS_HIST("post.bytes", origin.bytes);
+  tally(origin, Tally::Originated);
+  tally(origin, fate.tally);
+  if (fate.graced) tally(origin, Tally::LateGraced);
+  if (delivered) flow_.record(origin.author, origin.label, phase, origin.bytes, origin.elements);
+  enqueue(origin.round_key, origin.phase, origin.sender, fate.wire_bytes, fate.payload,
+          fate.tally == Tally::DroppedLink, fate.release_delay);
+  if (fate.duplicate) {
+    // The replayed copy is priced on the wire, but the board's one-shot
+    // discipline ignores it.
+    tally(origin, Tally::Originated);
+    tally(origin, Tally::Duplicate);
+    enqueue(origin.round_key, origin.phase, origin.sender, origin.bytes, nullptr,
+            fate.duplicate_dropped, 0);
+  }
+  // One DAG post for the original only: an injected copy never becomes a
+  // board post, so it must never grow consume edges.
+  dag_.end_post(origin.label, origin.bytes, delivered);
+  return kFates[static_cast<std::size_t>(fate.tally)].status;
+}
+
+void NetBulletin::tally(const PostOrigin& origin, Tally t) {
+  static_assert(std::size(kFates) == static_cast<std::size_t>(Tally::kCount));
+  const FateRow& row = kFates[static_cast<std::size_t>(t)];
+  ++(posts(origin.phase).*row.field);
+#ifndef OBS_DISABLED
+  if (origin.external || row.counter == nullptr) return;
+  // Cached per board rather than through OBS_COUNT, whose function-local
+  // static would count every tally under the first name it saw.  Resolved
+  // lazily: a registered counter shows in the metrics report even at zero.
+  obs::Counter*& counter = counters_[static_cast<std::size_t>(t)];
+  if (counter == nullptr) counter = &obs::metrics().counter(row.counter);
+  counter->add();
+  if (!row.loss) return;
+  obs::Span(row.counter, "net")
+      .attr("sender", origin.sender)
+      .attr("phase", phase_name(origin.phase));
+#endif
 }
 
 void NetBulletin::on_committee_spawn(Committee& committee) {
@@ -351,16 +382,32 @@ const obs::dag::DagRecorder& NetBulletin::dag() {
 PhasePosts NetBulletin::total_posts() const {
   PhasePosts total;
   for (const PhasePosts& pp : posts_) {
-    total.originated += pp.originated;
-    total.delivered += pp.delivered;
-    total.dropped_link += pp.dropped_link;
-    total.corrupt += pp.corrupt;
-    total.truncated += pp.truncated;
-    total.late += pp.late;
-    total.duplicate += pp.duplicate;
-    total.late_graced += pp.late_graced;
+    for (const FateRow& row : kFates) total.*row.field += pp.*row.field;
   }
   return total;
+}
+
+std::vector<std::string> NetBulletin::conservation_violations() {
+  std::vector<std::string> violations;
+  for (Phase phase : {Phase::Setup, Phase::Offline, Phase::Online}) {
+    const PhasePosts& pp = posts(phase);
+    if (!pp.conserved()) {
+      violations.push_back(std::string("conservation: phase ") + phase_name(phase) +
+                           " originated=" + std::to_string(pp.originated) +
+                           " delivered=" + std::to_string(pp.delivered) +
+                           " dropped=" + std::to_string(pp.dropped()));
+    }
+#ifndef OBS_DISABLED
+    const std::uint64_t flowed =
+        flow().phase_total(static_cast<std::uint8_t>(phase_idx(phase))).messages;
+    if (flowed != pp.delivered) {
+      violations.push_back(std::string("flow: phase ") + phase_name(phase) +
+                           " messages=" + std::to_string(flowed) +
+                           " delivered=" + std::to_string(pp.delivered));
+    }
+#endif
+  }
+  return violations;
 }
 
 std::string NetBulletin::report_json() const {
@@ -379,24 +426,21 @@ std::string NetBulletin::report_json() const {
   // "grace disabled" and "no grace configured".
   w.field("grace_window_s", cfg_.grace_window_s);
   w.key("phases").begin_object();
-  for (std::size_t i = 0; i < traffic_.size(); ++i) {
-    const PhaseTraffic& pt = traffic_[i];
-    const PhasePosts& pp = posts_[i];
-    w.key(phase_key(i)).begin_object();
+  for (Phase phase : {Phase::Setup, Phase::Offline, Phase::Online}) {
+    const PhaseTraffic& pt = traffic_[phase_idx(phase)];
+    const PhasePosts& pp = posts_[phase_idx(phase)];
+    w.key(phase_name(phase)).begin_object();
     w.field("seconds", pt.seconds);
     w.field("rounds", static_cast<std::uint64_t>(pt.rounds));
     w.field("messages", static_cast<std::uint64_t>(pt.messages));
     w.field("payload_bytes", static_cast<std::uint64_t>(pt.payload_bytes));
     w.key("posts").begin_object();
-    w.field("originated", static_cast<std::uint64_t>(pp.originated));
-    w.field("delivered", static_cast<std::uint64_t>(pp.delivered));
-    w.field("dropped", static_cast<std::uint64_t>(pp.dropped()));
-    w.field("dropped_link", static_cast<std::uint64_t>(pp.dropped_link));
-    w.field("corrupt", static_cast<std::uint64_t>(pp.corrupt));
-    w.field("truncated", static_cast<std::uint64_t>(pp.truncated));
-    w.field("late", static_cast<std::uint64_t>(pp.late));
-    w.field("duplicate", static_cast<std::uint64_t>(pp.duplicate));
-    w.field("late_graced", static_cast<std::uint64_t>(pp.late_graced));
+    for (const FateRow& row : kFates) {
+      w.field(row.key, static_cast<std::uint64_t>(pp.*row.field));
+      if (row.field == &PhasePosts::delivered) {
+        w.field("dropped", static_cast<std::uint64_t>(pp.dropped()));
+      }
+    }
     w.end_object();
     w.end_object();
   }

@@ -24,10 +24,14 @@
 // injects message-level faults at the codec boundary — bit-flipped
 // payloads (rejected by the frame checksum), truncated frames (rejected by
 // the codec), duplicated posts (ignored by the one-shot discipline), and
-// late posts (rejected unless within `grace_window_s`).  Every post's fate
-// is returned to the publishing protocol code as a PostStatus and tallied
-// per phase; the chaos campaign (src/chaos) asserts the conservation law
-// originated == delivered + dropped over these tallies.
+// late posts (rejected unless within `grace_window_s`).  A post's fate is
+// decided once (decide) and applied once (land): a single fan-out bumps the
+// PhasePosts tallies and post.* counters, emits the loss span, records the
+// flow edge, prices the wire copies and closes the DAG post, then returns
+// the PostStatus to the publishing protocol code.  conservation_violations()
+// checks originated == delivered + dropped and flow == delivered per phase;
+// the chaos campaign (src/chaos) runs it on every board.  docs/NETWORK.md
+// ("Post fate") tabulates every fate.
 #pragma once
 
 #include <array>
@@ -41,6 +45,7 @@
 #include "net/wire_faults.hpp"
 #include "obs/dag/dag.hpp"
 #include "obs/flow.hpp"
+#include "obs/metrics.hpp"
 #include "yoso/bulletin.hpp"
 
 namespace yoso::net {
@@ -126,6 +131,11 @@ public:
   // Post accounting (chaos invariants + report_json).
   const PhasePosts& phase_posts(Phase phase) const;
   PhasePosts total_posts() const;
+  // Every breach of the board's accounting laws, one line each (empty when
+  // the books balance): per phase, originated == delivered + dropped, and
+  // flow-matrix messages == delivered (obs-enabled builds only; the matrix
+  // is compiled out otherwise).  Finalizes the flow matrix, as flow() does.
+  std::vector<std::string> conservation_violations();
   // Per-edge traffic matrix over delivered posts: sender committee ->
   // consuming committee (the next one to begin publishing), keyed by ledger
   // category.  Edges still pending a consumer — the final committee's
@@ -158,7 +168,18 @@ private:
     bool link_dropped = false;
     double release_delay = 0;  // late posts enter the uplink this much later
   };
+  // The PhasePosts fields, in report order; rows of the fate table
+  // (net_bulletin.cpp) that also name each field's counter and report key.
+  enum class Tally : std::uint8_t {
+    Originated, Delivered, DroppedLink, Corrupt, Truncated, Late, Duplicate, LateGraced, kCount
+  };
+  struct PostFate;
+  struct PostOrigin;
 
+  PostFate decide(const std::string& sender, std::size_t bytes,
+                  const std::vector<std::uint8_t>* payload);
+  PostStatus land(const PostFate& fate, const PostOrigin& origin);
+  void tally(const PostOrigin& origin, Tally t);
   void enqueue(std::string round_key, Phase phase, std::string sender, std::size_t bytes,
                const std::vector<std::uint8_t>* payload, bool link_dropped,
                double release_delay);
@@ -182,6 +203,10 @@ private:
   std::size_t fuzz_rejected_ = 0;
   std::size_t fuzz_decoded_ = 0;
   std::uint64_t post_seq_ = 0;  // wire-fault roll sequence
+#ifndef OBS_DISABLED
+  // Per-tally counter handles, resolved on a tally's first bump.
+  std::array<obs::Counter*, static_cast<std::size_t>(Tally::kCount)> counters_{};
+#endif
   unsigned roles_silenced_ = 0;
   unsigned roles_churned_ = 0;
 };

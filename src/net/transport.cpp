@@ -1,29 +1,10 @@
 #include "net/transport.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "net/wire_faults.hpp"  // mix64 / mix64_str
 
 namespace yoso::net {
-
-void TransportStats::note_size(std::size_t bytes) {
-  std::size_t bucket = std::bit_width(bytes);  // log2 bucket, 0 for empty
-  if (size_histogram.size() <= bucket) size_histogram.resize(bucket + 1, 0);
-  ++size_histogram[bucket];
-}
-
-std::size_t TransportStats::total_payload_bytes() const {
-  std::size_t total = 0;
-  for (const auto& [_, s] : senders) total += s.payload_bytes;
-  return total;
-}
-
-std::size_t TransportStats::total_wire_bytes() const {
-  std::size_t total = 0;
-  for (const auto& [_, s] : senders) total += s.wire_bytes;
-  return total;
-}
 
 Transport::Transport(EventLoop& loop, LinkModel link, Topology topo, unsigned observers,
                      FaultPlan faults, LinkClassMix mix)
@@ -98,7 +79,6 @@ bool Transport::broadcast_decided(const std::string& sender, std::size_t bytes, 
   es.frames += topo_ == Topology::UniformMesh ? frames * std::max(observers_, 1u) : frames;
   es.busy_seconds += up_tx;
   es.queue_seconds += start - release;
-  stats_.note_size(bytes);
 
   // The full message reaches the board (star) / egresses the sender (mesh)
   // one propagation delay after the last frame leaves the uplink; each

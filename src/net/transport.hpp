@@ -29,17 +29,12 @@ struct EndpointStats {
 
 struct TransportStats {
   std::map<std::string, EndpointStats> senders;  // per-role bandwidth accounting
-  std::vector<std::size_t> size_histogram;       // log2(bytes) buckets
   std::size_t delivered = 0;        // message copies handed to observers
   std::size_t dropped = 0;          // messages lost to fault injection
   double downlink_queue_seconds = 0;
   // Heterogeneous profiles: parties per assigned link class (uplinks and
   // downlinks; empty under a uniform link).
   std::map<std::string, std::size_t> link_class_counts;
-
-  void note_size(std::size_t bytes);
-  std::size_t total_payload_bytes() const;
-  std::size_t total_wire_bytes() const;
 };
 
 class Transport {

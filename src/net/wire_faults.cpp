@@ -2,17 +2,6 @@
 
 namespace yoso::net {
 
-const char* wire_fault_name(WireFault f) {
-  switch (f) {
-    case WireFault::None: return "none";
-    case WireFault::BitFlip: return "bitflip";
-    case WireFault::Truncate: return "truncate";
-    case WireFault::Duplicate: return "duplicate";
-    case WireFault::LatePost: return "late";
-  }
-  return "?";
-}
-
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;

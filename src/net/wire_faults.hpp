@@ -21,8 +21,6 @@ namespace yoso::net {
 // Which wire fault hits one post (at most one per post).
 enum class WireFault : std::uint8_t { None, BitFlip, Truncate, Duplicate, LatePost };
 
-const char* wire_fault_name(WireFault f);
-
 struct WireFaultPlan {
   double bitflip_prob = 0;    // payload corrupted in flight
   double truncate_prob = 0;   // frame cut short

@@ -4,17 +4,6 @@
 
 namespace yoso {
 
-const char* post_status_name(PostStatus s) {
-  switch (s) {
-    case PostStatus::Accepted: return "accepted";
-    case PostStatus::DroppedLink: return "dropped";
-    case PostStatus::CorruptPayload: return "corrupt";
-    case PostStatus::Truncated: return "truncated";
-    case PostStatus::Late: return "late";
-  }
-  return "?";
-}
-
 void Bulletin::record_post(const std::string& sender, unsigned index0, Phase phase,
                            const std::string& label, std::size_t bytes, std::size_t elements,
                            bool external) {

@@ -47,8 +47,6 @@ enum class PostStatus : std::uint8_t {
   Late,            // arrived after the committee's window (+ grace) closed
 };
 
-const char* post_status_name(PostStatus s);
-
 class Bulletin {
 public:
   explicit Bulletin(Ledger& ledger) : ledger_(&ledger) {}

@@ -51,6 +51,7 @@ struct FlowRun {
   std::string report;
   std::array<PhasePosts, 3> posts{};
   std::map<FlowKey, FlowCell> edges;
+  std::vector<std::string> violations;  // NetBulletin::conservation_violations()
 };
 
 FlowRun run_flow(std::uint64_t seed, NetConfig cfg) {
@@ -72,6 +73,7 @@ FlowRun run_flow(std::uint64_t seed, NetConfig cfg) {
     r.completed = false;
   }
   r.edges = board.flow().edges();
+  r.violations = board.conservation_violations();
   for (Phase p : {Phase::Setup, Phase::Offline, Phase::Online}) {
     r.posts[static_cast<std::size_t>(p)] = board.phase_posts(p);
   }
@@ -79,25 +81,13 @@ FlowRun run_flow(std::uint64_t seed, NetConfig cfg) {
   return r;
 }
 
-// Sum of edge messages per phase.
-std::array<std::uint64_t, 3> flow_messages(const std::map<FlowKey, FlowCell>& edges) {
-  std::array<std::uint64_t, 3> totals{};
-  for (const auto& [key, cell] : edges) {
-    totals[key.phase] += cell.messages;
-  }
-  return totals;
-}
-
+// The board's own conservation check covers the flow law (per phase, flow
+// messages == delivered); with the layer compiled out the matrix is empty.
 void expect_conserved(const FlowRun& run) {
-  const auto totals = flow_messages(run.edges);
-  for (std::size_t i = 0; i < 3; ++i) {
-#ifndef OBS_DISABLED
-    EXPECT_EQ(totals[i], run.posts[i].delivered)
-        << "phase " << i << ": flow matrix disagrees with board accounting";
-#else
-    EXPECT_EQ(totals[i], 0u);
+  for (const std::string& v : run.violations) ADD_FAILURE() << v;
+#ifdef OBS_DISABLED
+  EXPECT_TRUE(run.edges.empty());
 #endif
-  }
 }
 
 // --- FlowMatrix unit --------------------------------------------------------

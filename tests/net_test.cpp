@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "baseline/cdn.hpp"
 #include "circuit/workloads.hpp"
 #include "mpc/protocol.hpp"
 #include "net/net_bulletin.hpp"
+#include "obs/metrics.hpp"
+#include "wire/codec.hpp"
 
 namespace yoso {
 namespace {
@@ -21,6 +24,7 @@ using net::FaultPlan;
 using net::LinkModel;
 using net::NetBulletin;
 using net::NetConfig;
+using net::PhasePosts;
 using net::Topology;
 using net::Transport;
 
@@ -439,6 +443,126 @@ TEST(NetFaultInjection, GraceWindowAdmitsLatePosts) {
     EXPECT_GT(total.late_graced, 0u);
     EXPECT_EQ(total.originated, total.delivered);
     EXPECT_TRUE(total.conserved());
+  }
+}
+
+// --- Post fate: one row per fate --------------------------------------------
+
+// One forced post fate and the exact books it must leave on a fresh board.
+struct FateCase {
+  const char* name;
+  void (*configure)(NetConfig&);
+  bool external;
+  PostStatus status;
+  PhasePosts posts;          // tallies of the posting phase
+  std::size_t wire_copies;   // messages priced on the wire (a duplicate is two)
+  bool delivered;            // flow matrix and DAG see one delivered post
+  std::size_t probed;        // mutated payloads run through the codec
+  std::map<std::string, std::uint64_t> counters;  // post.* counters left nonzero
+};
+
+const FateCase kFateCases[] = {
+    {"accepted", [](NetConfig&) {}, false, PostStatus::Accepted,
+     PhasePosts{1, 1, 0, 0, 0, 0, 0, 0}, 1, true, 0, {{"post.accepted", 1}}},
+    {"dropped_link", [](NetConfig& c) { c.faults.drop_prob = 1; }, false,
+     PostStatus::DroppedLink, PhasePosts{1, 0, 1, 0, 0, 0, 0, 0}, 1, false, 0,
+     {{"post.dropped_link", 1}}},
+    {"corrupt", [](NetConfig& c) { c.wire_faults.bitflip_prob = 1; }, false,
+     PostStatus::CorruptPayload, PhasePosts{1, 0, 0, 1, 0, 0, 0, 0}, 1, false, 1,
+     {{"post.corrupt", 1}}},
+    {"truncated", [](NetConfig& c) { c.wire_faults.truncate_prob = 1; }, false,
+     PostStatus::Truncated, PhasePosts{1, 0, 0, 0, 1, 0, 0, 0}, 1, false, 1,
+     {{"post.truncated", 1}}},
+    {"duplicate", [](NetConfig& c) { c.wire_faults.duplicate_prob = 1; }, false,
+     PostStatus::Accepted, PhasePosts{2, 1, 0, 0, 0, 0, 1, 0}, 2, true, 0,
+     {{"post.accepted", 1}, {"post.duplicate", 1}}},
+    {"late_graced",
+     [](NetConfig& c) {
+       c.wire_faults.late_prob = 1;
+       c.wire_faults.late_delay_s = 0.5;
+       c.grace_window_s = 1.0;
+     },
+     false, PostStatus::Accepted, PhasePosts{1, 1, 0, 0, 0, 0, 0, 1}, 1, true, 0,
+     {{"post.accepted", 1}, {"post.late_graced", 1}}},
+    {"late",
+     [](NetConfig& c) {
+       c.wire_faults.late_prob = 1;
+       c.wire_faults.late_delay_s = 0.5;
+       c.grace_window_s = 0.25;
+     },
+     false, PostStatus::Late, PhasePosts{1, 0, 0, 0, 0, 1, 0, 0}, 1, false, 0,
+     {{"post.late", 1}}},
+    // External senders sit outside every fault plan and outside the post.*
+    // counters, which count committee posts.
+    {"external", [](NetConfig& c) { c.faults.drop_prob = 1; }, true, PostStatus::Accepted,
+     PhasePosts{1, 1, 0, 0, 0, 0, 0, 0}, 1, true, 0, {}},
+};
+
+TEST(NetPostFate, EachFateKeepsExactBooks) {
+  const std::vector<std::uint8_t> payload =
+      encode_future_ct(FutureCt{mpz_class(123456789), mpz_class(987654321)});
+  for (const FateCase& fc : kFateCases) {
+    SCOPED_TRACE(fc.name);
+#ifndef OBS_DISABLED
+    obs::metrics().reset();
+#endif
+    NetConfig cfg;
+    fc.configure(cfg);
+    Ledger ledger;
+    NetBulletin board(ledger, cfg);
+    Rng rng(7);
+    Committee com = make_committee("fate.c", 128, 1, AdversaryPlan::honest(3).committee(0), rng);
+    board.on_committee_spawn(com);
+    PostStatus status = PostStatus::Accepted;
+    if (fc.external) {
+      board.publish_external("client0", Phase::Offline, "fate.in", 0, 2, &payload);
+    } else {
+      status = board.publish(com, 0, Phase::Offline, "fate.post", 0, 2, false, &payload);
+    }
+    board.flush();
+
+    EXPECT_EQ(status, fc.status);
+    const PhasePosts& pp = board.phase_posts(Phase::Offline);
+    EXPECT_EQ(pp.originated, fc.posts.originated);
+    EXPECT_EQ(pp.delivered, fc.posts.delivered);
+    EXPECT_EQ(pp.dropped_link, fc.posts.dropped_link);
+    EXPECT_EQ(pp.corrupt, fc.posts.corrupt);
+    EXPECT_EQ(pp.truncated, fc.posts.truncated);
+    EXPECT_EQ(pp.late, fc.posts.late);
+    EXPECT_EQ(pp.duplicate, fc.posts.duplicate);
+    EXPECT_EQ(pp.late_graced, fc.posts.late_graced);
+    EXPECT_EQ(pp.originated, pp.delivered + pp.dropped());
+    EXPECT_EQ(board.phase_posts(Phase::Setup).originated, 0u);
+    EXPECT_EQ(board.phase_posts(Phase::Online).originated, 0u);
+
+    const net::PhaseTraffic& traffic = board.phase_traffic(Phase::Offline);
+    EXPECT_EQ(traffic.messages, fc.wire_copies);
+    if (fc.status == PostStatus::Truncated) {
+      EXPECT_LT(traffic.payload_bytes, payload.size());  // only the prefix hit the wire
+    } else {
+      EXPECT_EQ(traffic.payload_bytes, fc.wire_copies * payload.size());
+    }
+    EXPECT_EQ(board.fuzz_rejected() + board.fuzz_decoded(), fc.probed);
+    EXPECT_EQ(board.decode_failures(), 0u);
+
+#ifndef OBS_DISABLED
+    EXPECT_EQ(board.flow().phase_total(1).messages, fc.delivered ? 1u : 0u);
+    EXPECT_EQ(board.flow().phase_total(0).messages + board.flow().phase_total(2).messages, 0u);
+    std::size_t dag_delivered = 0, dag_undelivered = 0;
+    for (const obs::dag::DagNode& node : board.dag().nodes()) {
+      if (node.kind != obs::dag::NodeKind::Post) continue;
+      ++(node.delivered ? dag_delivered : dag_undelivered);
+    }
+    EXPECT_EQ(dag_delivered, fc.delivered ? 1u : 0u);
+    EXPECT_EQ(dag_undelivered, fc.delivered ? 0u : 1u);
+    for (const char* name : {"post.accepted", "post.dropped_link", "post.corrupt",
+                             "post.truncated", "post.late", "post.late_graced",
+                             "post.duplicate"}) {
+      const auto it = fc.counters.find(name);
+      EXPECT_EQ(obs::metrics().counter(name).value(), it == fc.counters.end() ? 0u : it->second)
+          << name;
+    }
+#endif
   }
 }
 
