@@ -1,6 +1,7 @@
 #include "perf/audit.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 namespace yoso::perf {
@@ -8,6 +9,7 @@ namespace yoso::perf {
 namespace {
 
 struct AuditRow {
+  std::string point;
   double n = 0;
   double k = 0;
   double gates = 0;
@@ -43,6 +45,7 @@ AuditReport audit_scaling(const json::Value& bench) {
   for (const auto& [key, point] : audit->members) {
     if (key.size() < 2 || key[0] != 'n') continue;
     AuditRow row;
+    row.point = key;
     row.n = std::strtod(key.c_str() + 1, nullptr);
     row.k = point.num_or("k", 0);
     row.gates = point.num_or("gates", 0);
@@ -70,6 +73,18 @@ AuditReport audit_scaling(const json::Value& bench) {
     ours_online.push_back(row.ours_mult_bytes / row.gates);
     cdn_online.push_back(row.cdn_mult_bytes / row.gates);
     ours_offline.push_back(row.offline_bytes / row.gates);
+
+    ProtocolParams p;
+    p.n = static_cast<unsigned>(row.n);
+    p.k = std::max(1u, static_cast<unsigned>(row.k));
+    const CircuitShape shape = CircuitShape::wide(static_cast<std::size_t>(row.gates));
+    ModelPointCheck check;
+    check.point = row.point;
+    check.ours_measured = row.ours_mult_elems;
+    check.ours_model = std::round(packed_cost(p, shape).online_per_gate * row.gates);
+    check.cdn_measured = row.cdn_mult_elems;
+    check.cdn_model = std::round(cdn_cost(p, shape).online_per_gate * row.gates);
+    report.model_checks.push_back(check);
   }
   report.checks.push_back(obs::check_exponent("ours.online.mult.bytes_per_gate", ns,
                                               ours_online, {-0.15, 0.15}));
@@ -78,14 +93,14 @@ AuditReport audit_scaling(const json::Value& bench) {
   report.checks.push_back(obs::check_exponent("ours.offline.total.bytes_per_gate", ns,
                                               ours_offline, {0.85, 1.75}));
 
-  const AuditRow& last = rows.back();
-  report.speedup = obs::derive_packed_speedup(
-      1000, 0.05, last.ours_mult_elems / last.gates, last.cdn_mult_elems / last.gates,
-      static_cast<unsigned>(last.n), static_cast<unsigned>(last.k));
+  report.projection = project_paper_scale(1000, 0.05);
 
-  report.pass = report.speedup.feasible && report.speedup.speedup >= report.speedup_floor;
+  report.pass = report.projection.feasible && report.projection.speedup >= report.speedup_floor;
   for (const obs::ExponentCheck& check : report.checks) {
     report.pass = report.pass && check.pass;
+  }
+  for (const ModelPointCheck& check : report.model_checks) {
+    report.pass = report.pass && check.pass();
   }
 
   report.cost_model = fit_cost_model(bench);
@@ -118,19 +133,36 @@ std::string audit_report_json(const AuditReport& report) {
     w.end_object();
   }
   w.end_array();
+  const PaperScaleProjection& proj = report.projection;
   w.key("speedup").begin_object();
-  w.field("feasible", report.speedup.feasible);
-  w.field("C", report.speedup.C);
-  w.field("f", report.speedup.f);
-  w.field("c", report.speedup.c);
-  w.field("c_prime", report.speedup.c_prime);
-  w.field("k", report.speedup.k);
-  w.field("e0", report.speedup.e0);
-  w.field("cdn_per_member", report.speedup.cdn_per_member);
-  w.field("baseline_per_gate", report.speedup.baseline_per_gate);
-  w.field("ours_per_gate", report.speedup.ours_per_gate);
-  w.field("speedup", report.speedup.speedup);
+  w.field("feasible", proj.feasible);
+  w.field("C", proj.C);
+  w.field("f", proj.f);
+  w.field("c", proj.gap.c);
+  w.field("c_prime", proj.gap.c_prime);
+  w.field("n", proj.ours_params.n);
+  w.field("n_prime", proj.cdn_params.n);
+  w.field("k", proj.ours_params.k);
+  w.field("gates", static_cast<std::uint64_t>(proj.shape.mul_gates));
+  w.field("ours_online_per_gate", proj.ours.online_per_gate);
+  w.field("cdn_online_per_gate", proj.cdn.online_per_gate);
+  w.field("speedup", proj.speedup);
   w.field("floor", report.speedup_floor);
+  w.field("ours_offline", proj.ours.offline);
+  w.field("cdn_offline", proj.cdn.offline);
+  w.field("offline_premium", proj.offline_premium);
+  w.key("model_checks").begin_array();
+  for (const ModelPointCheck& check : report.model_checks) {
+    w.begin_object();
+    w.field("point", check.point);
+    w.field("pass", check.pass());
+    w.field("ours_measured", check.ours_measured);
+    w.field("ours_model", check.ours_model);
+    w.field("cdn_measured", check.cdn_measured);
+    w.field("cdn_model", check.cdn_model);
+    w.end_object();
+  }
+  w.end_array();
   w.end_object();
   w.key("cost_model").raw(cost_model_json(report.cost_model));
   w.key("critpath").begin_object();

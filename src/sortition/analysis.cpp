@@ -48,7 +48,6 @@ GapAnalysis analyze_gap(const SortitionConfig& cfg) {
   out.c = out.t / (0.5 - out.eps);
   out.c_prime = 2.0 * out.t;
   out.k = static_cast<unsigned>(std::floor(out.c * out.eps));
-  out.online_speedup = static_cast<double>(out.k);
   return out;
 }
 

@@ -35,7 +35,6 @@ struct GapAnalysis {
   double c = 0;           // committee-size lower bound with the gap
   double c_prime = 0;     // committee-size lower bound at eps = 0 (i.e. 2t)
   unsigned k = 0;         // packing factor ~ c * eps
-  double online_speedup = 0;  // = k (the paper's online improvement factor)
 };
 
 // Solves Eqs. (2)-(6) for the given configuration.

@@ -82,4 +82,23 @@ ProtocolParams params_from_analysis(const GapAnalysis& g, unsigned paillier_bits
   return p;
 }
 
+PaperScaleProjection project_paper_scale(double C, double f) {
+  PaperScaleProjection proj;
+  proj.C = C;
+  proj.f = f;
+  proj.gap = analyze_gap(SortitionConfig{C, f});
+  if (!proj.gap.feasible) return proj;
+  proj.ours_params = params_from_analysis(proj.gap, 2048);
+  proj.cdn_params = proj.ours_params;
+  proj.cdn_params.n = static_cast<unsigned>(std::llround(proj.gap.c_prime));
+  proj.cdn_params.k = 1;
+  proj.shape = CircuitShape::wide(std::size_t{10} * proj.cdn_params.n);
+  proj.ours = packed_cost(proj.ours_params, proj.shape);
+  proj.cdn = cdn_cost(proj.cdn_params, proj.shape);
+  proj.speedup = proj.cdn.online_per_gate / proj.ours.online_per_gate;
+  proj.offline_premium = proj.ours.offline / proj.cdn.offline;
+  proj.feasible = true;
+  return proj;
+}
+
 }  // namespace yoso

@@ -2,10 +2,11 @@
 //
 // The ledger measures real runs at laptop-scale committees; this model
 // expresses those counts as closed-form functions of (n, t, k, circuit),
-// is *validated against the measured ledger* in the test suite, and then
-// extrapolates to the paper-scale committee sizes of Table 1 — producing
-// the end-to-end comparison (ours vs. the CDN baseline, offline + online)
-// that a full paper's evaluation section would plot.
+// is *validated against the measured ledger* in the test suite and by
+// `perf audit`, and then project_paper_scale() extrapolates it to the
+// Table 1 committee sizes — the one end-to-end comparison (ours vs. the
+// CDN baseline, offline + online) that bench_paper_scale, E3 and `perf
+// audit` print.
 //
 // Counts are broadcast ring/group elements; a deployment multiplies by the
 // element size for its modulus.
@@ -56,5 +57,23 @@ CdnCost cdn_cost(const ProtocolParams& p, const CircuitShape& shape);
 // A Table 1 row turned into protocol parameters: n = round(c),
 // t from the analysis, k the packing factor.
 ProtocolParams params_from_analysis(const GapAnalysis& g, unsigned paillier_bits);
+
+// One Table 1 cell projected to paper scale.  Ours runs at n = round(c)
+// with the analysis's packing factor; the CDN baseline runs at its own
+// committee n' = round(c') with k = 1; both evaluate the same wide
+// circuit of 10 * n' multiplication gates.
+struct PaperScaleProjection {
+  bool feasible = false;  // the sortition analysis admits a gap at (C, f)
+  double C = 0, f = 0;
+  GapAnalysis gap;
+  ProtocolParams ours_params, cdn_params;
+  CircuitShape shape;
+  PackedCost ours;
+  CdnCost cdn;
+  double speedup = 0;          // cdn.online_per_gate / ours.online_per_gate
+  double offline_premium = 0;  // ours.offline / cdn.offline
+};
+
+PaperScaleProjection project_paper_scale(double C, double f);
 
 }  // namespace yoso

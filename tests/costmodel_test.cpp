@@ -4,6 +4,8 @@
 // extrapolations in the benches.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "baseline/cdn.hpp"
 #include "circuit/workloads.hpp"
 #include "mpc/protocol.hpp"
@@ -102,6 +104,39 @@ TEST(CostModel, PaperScaleOrderingHolds) {
     EXPECT_GE(ratio, row.analysis.k / 4.0) << "C=" << row.C << " f=" << row.f;
     EXPECT_LE(ratio, 4.0 * row.analysis.k) << "C=" << row.C << " f=" << row.f;
   }
+}
+
+TEST(CostModel, PaperScaleProjectionAtEveryTable1Cell) {
+  // project_paper_scale is the one projection bench_paper_scale, E3 and
+  // `perf audit` print: GOD holds at every feasible cell, and the two
+  // ratios are exactly the model's ratios.
+  std::size_t feasible = 0;
+  for (const auto& row : generate_table1()) {
+    const PaperScaleProjection proj = project_paper_scale(row.C, row.f);
+    EXPECT_EQ(proj.feasible, row.analysis.feasible) << "C=" << row.C << " f=" << row.f;
+    if (!proj.feasible) continue;
+    ++feasible;
+    EXPECT_LE(proj.ours_params.recon_threshold(), proj.ours_params.n - proj.ours_params.t)
+        << "C=" << row.C << " f=" << row.f;
+    EXPECT_EQ(proj.cdn_params.k, 1u);
+    EXPECT_EQ(proj.shape.mul_gates, std::size_t{10} * proj.cdn_params.n);
+    EXPECT_DOUBLE_EQ(proj.speedup, proj.cdn.online_per_gate / proj.ours.online_per_gate);
+    EXPECT_DOUBLE_EQ(proj.offline_premium, proj.ours.offline / proj.cdn.offline);
+  }
+  EXPECT_EQ(feasible, paper_table1().size());
+
+  // Pinned: the model prices the whole batches a 10 * c'-gate circuit
+  // needs (ceil(59980 / 6633) = 10 at C=20000, f=0.05), not c/k per gate.
+  const PaperScaleProjection big = project_paper_scale(20000, 0.05);
+  EXPECT_EQ(big.shape.batches(big.ours_params.k), 10u);
+  EXPECT_EQ(std::llround(big.speedup), 3735);
+  const PaperScaleProjection headline = project_paper_scale(1000, 0.05);
+  EXPECT_EQ(headline.ours_params.k, 28u);
+  EXPECT_EQ(std::llround(headline.speedup), 53);
+  EXPECT_GE(headline.speedup, 28.0);  // the paper's floor
+  // Full execution (offline + online): ours ~3.1e9 vs CDN ~6.5e7 elements.
+  EXPECT_NEAR(headline.ours.offline + headline.ours.online, 3.1e9, 0.05e9);
+  EXPECT_NEAR(headline.cdn.offline + headline.cdn.online, 6.5e7, 0.05e7);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Tests for the scaling-law auditor (src/obs/scaling + src/perf/audit):
 // the log-log fitter must recover synthetic O(1) / O(n) / O(n log n)
 // exponents with honest confidence bands, the band check must be inclusive
-// and reject out-of-band slopes, the headline 28x ratio must re-derive
-// from measured-style coefficients, and a synthetic sweep that violates
-// the paper's claim must fail the audit.
+// and reject out-of-band slopes, and a synthetic sweep that violates the
+// paper's claim — or that the cost model does not reproduce element for
+// element — must fail the audit.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,8 +21,7 @@ namespace {
 using obs::check_exponent;
 using obs::ExponentCheck;
 using obs::fit_power_law;
-using obs::PowerFit;
-using obs::SpeedupDerivation;
+using obs::LinearFit;
 
 // --- fit_power_law ----------------------------------------------------------
 
@@ -30,7 +29,7 @@ TEST(PowerFit, RecoversPureQuadratic) {
   std::vector<double> x = {2, 4, 8, 16, 32};
   std::vector<double> y;
   for (double v : x) y.push_back(3.0 * v * v);
-  PowerFit fit = fit_power_law(x, y);
+  LinearFit fit = fit_power_law(x, y);
   ASSERT_TRUE(fit.ok);
   EXPECT_NEAR(fit.slope, 2.0, 1e-9);
   EXPECT_NEAR(fit.intercept, std::log(3.0), 1e-9);
@@ -43,7 +42,7 @@ TEST(PowerFit, RecoversPureQuadratic) {
 TEST(PowerFit, RecoversFlatSeries) {
   std::vector<double> x = {4, 6, 8, 12, 16};
   std::vector<double> y(x.size(), 5.0);  // O(1)
-  PowerFit fit = fit_power_law(x, y);
+  LinearFit fit = fit_power_law(x, y);
   ASSERT_TRUE(fit.ok);
   EXPECT_NEAR(fit.slope, 0.0, 1e-12);
   EXPECT_NEAR(fit.r2, 1.0, 1e-12);  // degenerate: no variance to explain
@@ -53,7 +52,7 @@ TEST(PowerFit, RecoversLinearSeries) {
   std::vector<double> x = {4, 6, 8, 12, 16};
   std::vector<double> y;
   for (double v : x) y.push_back(7.5 * v);  // O(n)
-  PowerFit fit = fit_power_law(x, y);
+  LinearFit fit = fit_power_law(x, y);
   ASSERT_TRUE(fit.ok);
   EXPECT_NEAR(fit.slope, 1.0, 1e-9);
 }
@@ -62,7 +61,7 @@ TEST(PowerFit, NLogNFitsBetweenLinearAndQuadratic) {
   std::vector<double> x = {4, 8, 16, 32, 64};
   std::vector<double> y;
   for (double v : x) y.push_back(v * std::log2(v));  // O(n log n)
-  PowerFit fit = fit_power_law(x, y);
+  LinearFit fit = fit_power_law(x, y);
   ASSERT_TRUE(fit.ok);
   EXPECT_GT(fit.slope, 1.05);
   EXPECT_LT(fit.slope, 1.5);
@@ -84,8 +83,8 @@ TEST(PowerFit, ConfidenceBandWidensWithNoise) {
     clean.push_back(10.0 * x[i]);
     noisy.push_back(10.0 * x[i] * (i % 2 == 0 ? 1.3 : 0.75));
   }
-  PowerFit f_clean = fit_power_law(x, clean);
-  PowerFit f_noisy = fit_power_law(x, noisy);
+  LinearFit f_clean = fit_power_law(x, clean);
+  LinearFit f_noisy = fit_power_law(x, noisy);
   ASSERT_TRUE(f_clean.ok);
   ASSERT_TRUE(f_noisy.ok);
   EXPECT_GT(f_noisy.ci_hi - f_noisy.ci_lo, f_clean.ci_hi - f_clean.ci_lo);
@@ -117,35 +116,15 @@ TEST(ExponentCheckTest, BandIsInclusiveAndRejectsOutliers) {
   EXPECT_FALSE(bad.pass);  // unusable fit never passes
 }
 
-// --- derive_packed_speedup --------------------------------------------------
-
-TEST(Speedup, RederivesHeadlineRatioFromMeasuredCoefficients) {
-  // Measured coefficients of the audit sweep's largest point: e0 = 1
-  // element per mu-share (ours posts n/k shares per gate), CDN posts 2
-  // partials per gate per member.
-  const unsigned n = 16, k = 4;
-  SpeedupDerivation d =
-      obs::derive_packed_speedup(1000, 0.05, 1.0 * n / k, 2.0 * n, n, k);
-  ASSERT_TRUE(d.feasible);
-  EXPECT_EQ(d.k, 28u);  // the paper's packing factor at C=1000, f=0.05
-  EXPECT_NEAR(d.e0, 1.0, 1e-9);
-  EXPECT_NEAR(d.cdn_per_member, 2.0, 1e-9);
-  EXPECT_GE(d.speedup, 28.0);  // the paper's floor
-  EXPECT_NEAR(d.speedup, 2.0 * d.k, 0.15 * 2.0 * d.k);  // ~2k bracketing
-}
-
-TEST(Speedup, InfeasibleOnMissingData) {
-  EXPECT_FALSE(obs::derive_packed_speedup(1000, 0.05, 0, 2.0, 16, 4).feasible);
-  EXPECT_FALSE(obs::derive_packed_speedup(1000, 0.05, 4.0, 2.0, 0, 4).feasible);
-  EXPECT_FALSE(obs::derive_packed_speedup(1000, 0.05, 4.0, 2.0, 16, 0).feasible);
-}
-
 // --- audit_scaling on synthetic sweeps --------------------------------------
 
 // A synthetic scaling_audit key: ours online bytes/gate grow as
 // n^ours_exponent, CDN linear, offline linear — with coefficients shaped
-// like the real measurements (e0 = 1, CDN 2 partials/gate/member).
-json::Value audit_fixture(double ours_exponent) {
+// like the real measurements (ours n/k elements per gate, CDN 2 partials
+// per gate per member), so the cost model reproduces every point exactly.
+// `skewed_n` names a point whose ours online.mult element count is off by
+// one.
+json::Value audit_fixture(double ours_exponent, unsigned skewed_n = 0) {
   std::ostringstream ss;
   ss << "{\"scaling_audit\":{";
   bool first = true;
@@ -153,7 +132,7 @@ json::Value audit_fixture(double ours_exponent) {
     const unsigned k = (n + 2) / 4 == 0 ? 1 : (n + 2) / 4;
     const unsigned gates = 4 * n;
     const double ours_bytes = 100.0 * std::pow(n, ours_exponent) * gates;
-    const double ours_elems = static_cast<double>(n) / k * gates;  // e0 = 1
+    const double ours_elems = static_cast<double>(n) / k * gates + (n == skewed_n ? 1 : 0);
     const double cdn_elems = 2.0 * n * gates;
     const double cdn_bytes = 32.0 * cdn_elems;
     const double offline_bytes = 1000.0 * n * gates;
@@ -176,14 +155,43 @@ TEST(AuditScaling, PassesOnClaimConformingSweep) {
   EXPECT_TRUE(report.checks[0].pass) << report.checks[0].fit.slope;  // ours ~flat
   EXPECT_TRUE(report.checks[1].pass) << report.checks[1].fit.slope;  // cdn ~linear
   EXPECT_TRUE(report.checks[2].pass) << report.checks[2].fit.slope;  // offline ~linear
-  EXPECT_TRUE(report.speedup.feasible);
-  EXPECT_GE(report.speedup.speedup, report.speedup_floor);
+  ASSERT_EQ(report.model_checks.size(), 5u);
+  for (const perf::ModelPointCheck& check : report.model_checks) {
+    EXPECT_TRUE(check.pass()) << check.point;
+  }
+  const PaperScaleProjection& proj = report.projection;
+  ASSERT_TRUE(proj.feasible);
+  EXPECT_EQ(proj.C, 1000);
+  EXPECT_EQ(proj.f, 0.05);
+  EXPECT_EQ(proj.ours_params.k, 28u);  // the paper's packing factor at C=1000, f=0.05
+  EXPECT_GE(proj.speedup, report.speedup_floor);
+  EXPECT_DOUBLE_EQ(proj.speedup, proj.cdn.online_per_gate / proj.ours.online_per_gate);
+  EXPECT_GT(proj.offline_premium, 1.0);
   EXPECT_TRUE(report.pass);
 
   // The machine-readable verdict parses and agrees.
   const json::Value doc = json::parse(perf::audit_report_json(report));
   EXPECT_TRUE(doc.find("pass")->boolean);
   EXPECT_EQ(doc.find("checks")->items.size(), 3u);
+  const json::Value* speedup = doc.find("speedup");
+  ASSERT_NE(speedup, nullptr);
+  EXPECT_DOUBLE_EQ(speedup->num_or("speedup", 0), proj.speedup);
+  EXPECT_DOUBLE_EQ(speedup->num_or("offline_premium", 0), proj.offline_premium);
+  EXPECT_EQ(speedup->find("model_checks")->items.size(), 5u);
+}
+
+TEST(AuditScaling, FailsWhenLedgerDisagreesWithModel) {
+  // Every exponent stays in band, but one point's measured online.mult
+  // elements are off by one from the cost model: the audit names it.
+  perf::AuditReport report = perf::audit_scaling(audit_fixture(0.0, 12));
+  ASSERT_EQ(report.checks.size(), 3u);
+  for (const obs::ExponentCheck& check : report.checks) EXPECT_TRUE(check.pass) << check.name;
+  ASSERT_EQ(report.model_checks.size(), 5u);
+  for (const perf::ModelPointCheck& check : report.model_checks) {
+    EXPECT_EQ(check.pass(), check.point != "n12") << check.point;
+  }
+  EXPECT_FALSE(report.pass);
+  EXPECT_FALSE(json::parse(perf::audit_report_json(report)).find("pass")->boolean);
 }
 
 TEST(AuditScaling, FailsWhenOnlineCostGrows) {

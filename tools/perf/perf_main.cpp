@@ -17,8 +17,9 @@
 //       parameters exact, missing metric = failure).
 //   perf audit [--json FILE] [--report FILE]
 //       Fit the scaling_audit sweep's per-gate exponents and verdict them
-//       against the paper's claimed asymptotics; re-derive the headline
-//       speedup at C=1000, f=0.05.  Exit nonzero on any violated band.
+//       against the paper's claimed asymptotics; check the cost model
+//       against every sweep point, then project it to C=1000, f=0.05 and
+//       require the paper's 28x floor.  Exit nonzero on any violation.
 //   perf trend [--history FILE]
 //       Diff the last two history snapshots; list every metric that moved.
 //   perf baseline [--json FILE] --out FILE
@@ -45,6 +46,7 @@
 #include "perf/history.hpp"
 #include "perf/opcosts.hpp"
 #include "perf/sweep.hpp"
+#include "sortition/costmodel.hpp"
 
 namespace {
 
@@ -116,17 +118,17 @@ void print_online_table(const std::vector<perf::OnlinePoint>& pts) {
   std::printf("  CDN   (mult/gate)  grew %.2fx — paper predicts ~linear (O(n))\n",
               cdn_last / cdn_first);
 
-  std::printf("\nPaper-scale projection (per-gate online, using measured per-element"
-              " coefficients at n = %u):\n",
-              last.n);
+  std::printf("\nPaper-scale projection (cost model, checked against every audit point by"
+              " `perf audit`):\n");
   for (double C : {1000.0, 20000.0}) {
     for (double f : {0.05, 0.20}) {
-      const obs::SpeedupDerivation d =
-          obs::derive_packed_speedup(C, f, ours_last, cdn_last, last.n, last.k);
-      if (!d.feasible) continue;
-      std::printf("  C=%6.0f f=%.2f: baseline(c'=%5.0f) ~%8.0f elems/gate, ours(c=%5.0f) "
-                  "~%5.1f -> projected speedup ~%6.0fx (paper k = %u)\n",
-                  C, f, d.c_prime, d.baseline_per_gate, d.c, d.ours_per_gate, d.speedup, d.k);
+      const PaperScaleProjection proj = project_paper_scale(C, f);
+      if (!proj.feasible) continue;
+      std::printf("  C=%6.0f f=%.2f: CDN(n'=%5u) %8.0f elems/gate, ours(n=%5u, k=%5u) %5.1f "
+                  "-> online speedup %5.0fx, offline premium %5.1fx\n",
+                  C, f, proj.cdn_params.n, proj.cdn.online_per_gate, proj.ours_params.n,
+                  proj.ours_params.k, proj.ours.online_per_gate, proj.speedup,
+                  proj.offline_premium);
     }
   }
 }
@@ -251,19 +253,24 @@ int cmd_audit(const std::string& json_path, const std::string& report_path) {
                 check.fit.slope, check.fit.ci_lo, check.fit.ci_hi, check.fit.r2, check.band.lo,
                 check.band.hi, check.pass ? "PASS" : "FAIL");
   }
-  const obs::SpeedupDerivation& sd = report.speedup;
-  if (sd.feasible) {
-    std::printf("\nHeadline re-derivation at C=%.0f, f=%.2f (sortition: c=%.0f, c'=%.0f, "
-                "k=%u):\n",
-                sd.C, sd.f, sd.c, sd.c_prime, sd.k);
-    std::printf("  measured e0=%.3f elems/mu-share, CDN %.3f elems/gate/member\n", sd.e0,
-                sd.cdn_per_member);
-    std::printf("  baseline %.0f vs ours %.1f elems/gate -> speedup %.0fx (floor %.0fx) %s\n",
-                sd.baseline_per_gate, sd.ours_per_gate, sd.speedup, report.speedup_floor,
-                sd.speedup >= report.speedup_floor ? "PASS" : "FAIL");
-  } else {
-    std::printf("\nHeadline re-derivation: infeasible (missing audit data)  FAIL\n");
+  std::printf("\nCost model vs. ledger (online mult elements, measured == model):\n");
+  std::printf("  %-6s %12s %12s %12s %12s %s\n", "point", "ours", "ours model", "CDN",
+              "CDN model", "verdict");
+  for (const perf::ModelPointCheck& check : report.model_checks) {
+    std::printf("  %-6s %12.0f %12.0f %12.0f %12.0f %s\n", check.point.c_str(),
+                check.ours_measured, check.ours_model, check.cdn_measured, check.cdn_model,
+                check.pass() ? "PASS" : "FAIL");
   }
+  const PaperScaleProjection& proj = report.projection;
+  std::printf("\nProjection at C=%.0f, f=%.2f (n=%u, k=%u vs. CDN n'=%u, %zu gates):\n", proj.C,
+              proj.f, proj.ours_params.n, proj.ours_params.k, proj.cdn_params.n,
+              proj.shape.mul_gates);
+  std::printf("  CDN %.0f vs ours %.1f elems/gate -> online speedup %.0fx (floor %.0fx) %s\n",
+              proj.cdn.online_per_gate, proj.ours.online_per_gate, proj.speedup,
+              report.speedup_floor,
+              proj.feasible && proj.speedup >= report.speedup_floor ? "PASS" : "FAIL");
+  std::printf("  offline premium %.1fx (ours %.3e vs CDN %.3e elements)\n", proj.offline_premium,
+              proj.ours.offline, proj.cdn.offline);
   const perf::CostModel& cm = report.cost_model;
   if (cm.ok) {
     std::printf("\nPer-phase compute cost model (phase wall ~= sum count_p * us_p):\n");
